@@ -133,6 +133,8 @@ def _run_scenario(scenario: Scenario, observer=None, checkpoints=None,
                   resume_from=None) -> SimulationSummary:
     """Execute one Scenario on a fresh kernel (optionally restored from
     a :class:`~repro.sim.checkpoint.KernelCheckpoint`)."""
+    if observer is None and scenario.trace:
+        observer = Observer()       # trace=True: record this run
     tasks, traces = scenario.materialize()
     policy, mode, costs = build_policy_and_mode(scenario.sync)
     if scenario.policy == "edf":
@@ -149,7 +151,6 @@ def _run_scenario(scenario: Scenario, observer=None, checkpoints=None,
         sync=mode,
         costs=costs,
         retry_policy=scenario.retry_policy,
-        trace=scenario.trace,
         fault_plan=scenario.faults,
         admission=scenario.admission,
         retry_guard=scenario.retry_guard,

@@ -21,7 +21,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
-#: Lanes that carry kernel machinery, not per-task work.
+#: Lanes that carry kernel machinery, not per-task work ("trace" is the
+#: duplicate kernel lane that exports written before it was dropped carry).
 _NON_TASK_TIDS = frozenset({"kernel", "trace"})
 
 

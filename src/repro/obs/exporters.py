@@ -24,71 +24,54 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.campaign.io import atomic_write
+from repro.obs.events import SpanEvent
 from repro.obs.observer import Observer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.tracing import Tracer
 
 _PID = 1
 
 
-def _tid_table(observer: Observer) -> dict[str, int]:
+def _tid_table(events) -> dict[str, int]:
     """Stable string-lane → integer-tid mapping, in first-seen order
     (Chrome requires integer tids; insertion order keeps it
     deterministic)."""
     table: dict[str, int] = {}
-    for event in (*observer.spans, *observer.instants):
+    for event in events:
         if event.tid not in table:
             table[event.tid] = len(table) + 1
     return table
 
 
-def chrome_trace(observer: Observer,
-                 tracer: "Tracer | None" = None) -> dict[str, Any]:
+def chrome_trace(observer: Observer) -> dict[str, Any]:
     """Build the trace-event JSON document (pure; no I/O)."""
-    tids = _tid_table(observer)
+    recorded = [event for event in observer.events if event is not None]
+    tids = _tid_table(recorded)
     events: list[dict[str, Any]] = []
     for name, tid in tids.items():
         events.append({"ph": "M", "name": "thread_name", "pid": _PID,
                        "tid": tid, "args": {"name": name}})
-    for span in observer.spans:
-        events.append({
-            "ph": "X", "name": span.name, "cat": span.cat, "pid": _PID,
-            "tid": tids[span.tid], "ts": span.start / 1000.0,
-            "dur": span.duration / 1000.0, "args": dict(span.args),
-        })
-    for inst in observer.instants:
-        events.append({
-            "ph": "i", "s": "t", "name": inst.name, "cat": inst.cat,
-            "pid": _PID, "tid": tids[inst.tid], "ts": inst.ts / 1000.0,
-            "args": dict(inst.args),
-        })
+    for event in recorded:
+        record = {"name": event.name, "cat": event.cat, "pid": _PID,
+                  "tid": tids[event.tid], "args": dict(event.args)}
+        if type(event) is SpanEvent:
+            record.update(ph="X", ts=event.start / 1000.0,
+                          dur=event.duration / 1000.0)
+        else:
+            record.update(ph="i", s="t", ts=event.ts / 1000.0)
+        events.append(record)
     for sample in observer.counter_samples:
         events.append({
             "ph": "C", "name": sample.name, "pid": _PID, "tid": 0,
             "ts": sample.ts / 1000.0, "args": {"value": sample.value},
         })
-    if tracer is not None and tracer.events:
-        kernel_tid = max(tids.values(), default=0) + 1
-        events.append({"ph": "M", "name": "thread_name", "pid": _PID,
-                       "tid": kernel_tid, "args": {"name": "trace"}})
-        for event in tracer.events:
-            events.append({
-                "ph": "i", "s": "t", "name": event.kind.value,
-                "cat": "trace", "pid": _PID, "tid": kernel_tid,
-                "ts": event.time / 1000.0,
-                "args": {"job": event.job, "detail": event.detail},
-            })
     return {"traceEvents": events, "displayTimeUnit": "ns"}
 
 
-def write_chrome_trace(path: str | os.PathLike, observer: Observer,
-                       tracer: "Tracer | None" = None) -> Path:
+def write_chrome_trace(path: str | os.PathLike, observer: Observer) -> Path:
     """Serialize and atomically write the Chrome trace to ``path``."""
-    document = chrome_trace(observer, tracer)
+    document = chrome_trace(observer)
     return atomic_write(path, json.dumps(document, sort_keys=True,
                                          separators=(",", ":")) + "\n")
 
@@ -96,8 +79,8 @@ def write_chrome_trace(path: str | os.PathLike, observer: Observer,
 def events_jsonl(observer: Observer) -> str:
     """All deterministic events, one JSON object per line."""
     lines = []
-    for event in (*observer.spans, *observer.instants,
-                  *observer.counter_samples):
+    recorded = [event for event in observer.events if event is not None]
+    for event in (*recorded, *observer.counter_samples):
         lines.append(json.dumps(event.to_dict(), sort_keys=True))
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -61,7 +61,7 @@ class NullObserver:
 
     # -- open-ended spans (blocking intervals) -------------------------
     def open_span(self, key: Any, name: str, cat: str, tid: str,
-                  ts: int) -> None:
+                  ts: int, args: dict[str, Any] | None = None) -> None:
         pass
 
     def close_span(self, key: Any, ts: int) -> None:
@@ -86,26 +86,36 @@ NULL_OBSERVER = NullObserver()
 class Observer(NullObserver):
     """Recording sink: accumulates events, counters and histograms.
 
+    ``events`` is the one event stream, in happening order (``spans``
+    and ``instants`` filter it); an open span's slot is ``None``.
+
     ``clock`` is the wall-clock source for :meth:`decision` callers
     (injectable so tests can pin it); it defaults to
     :func:`time.perf_counter_ns`.
     """
 
-    __slots__ = ("counters", "histograms", "spans", "instants",
-                 "counter_samples", "decisions", "_open", "clock")
+    __slots__ = ("counters", "histograms", "events", "counter_samples",
+                 "decisions", "_open", "clock")
 
     enabled = True
 
     def __init__(self, clock: Callable[[], int] | None = None) -> None:
         self.counters: dict[str, int] = {}
         self.histograms: dict[str, Histogram] = {}
-        self.spans: list[SpanEvent] = []
-        self.instants: list[InstantEvent] = []
+        self.events: list[SpanEvent | InstantEvent | None] = []
         self.counter_samples: list[CounterSample] = []
         #: (ready-queue size, simulated pass cost, wall ns) per decision.
         self.decisions: list[tuple[int, int, int]] = []
-        self._open: dict[Any, tuple[str, str, str, int]] = {}
+        self._open: dict[Any, tuple[int, str, str, str, int, Any]] = {}
         self.clock = clock or time.perf_counter_ns
+
+    @property
+    def spans(self) -> list[SpanEvent]:
+        return [e for e in self.events if type(e) is SpanEvent]
+
+    @property
+    def instants(self) -> list[InstantEvent]:
+        return [e for e in self.events if type(e) is InstantEvent]
 
     # ------------------------------------------------------------------
     # Primitives
@@ -122,14 +132,13 @@ class Observer(NullObserver):
 
     def span(self, name: str, cat: str, tid: str, start: int,
              duration: int, args: dict[str, Any] | None = None) -> None:
-        self.spans.append(SpanEvent(name=name, cat=cat, tid=tid,
-                                    start=start, duration=duration,
-                                    args=freeze_args(args)))
+        self.events.append(SpanEvent(name, cat, tid, start, duration,
+                                     freeze_args(args)))
 
     def instant(self, name: str, cat: str, tid: str, ts: int,
                 args: dict[str, Any] | None = None) -> None:
-        self.instants.append(InstantEvent(name=name, cat=cat, tid=tid,
-                                          ts=ts, args=freeze_args(args)))
+        self.events.append(InstantEvent(name, cat, tid, ts,
+                                        freeze_args(args)))
 
     def tick_counter(self, name: str, ts: int, value: int = 1) -> None:
         """Bump the cumulative counter ``name`` and record the new total
@@ -144,19 +153,23 @@ class Observer(NullObserver):
     # ------------------------------------------------------------------
 
     def open_span(self, key: Any, name: str, cat: str, tid: str,
-                  ts: int) -> None:
+                  ts: int, args: dict[str, Any] | None = None) -> None:
         """Start an interval whose end is not yet known (a blocking
-        interval).  Re-opening an open key closes the old one first."""
+        interval); it takes its place in ``events`` now.  Re-opening an
+        open key closes the old one first."""
         if key in self._open:
             self.close_span(key, ts)
-        self._open[key] = (name, cat, tid, ts)
+        self._open[key] = (len(self.events), name, cat, tid, ts,
+                           freeze_args(args))
+        self.events.append(None)
 
     def close_span(self, key: Any, ts: int) -> None:
         pending = self._open.pop(key, None)
         if pending is None:
             return
-        name, cat, tid, start = pending
-        self.span(name, cat, tid, start, max(0, ts - start))
+        slot, name, cat, tid, start, args = pending
+        self.events[slot] = SpanEvent(name, cat, tid, start,
+                                      max(0, ts - start), args)
 
     def close_open_spans(self, ts: int) -> None:
         """End-of-run flush: close every still-open interval at ``ts``

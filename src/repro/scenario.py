@@ -79,7 +79,7 @@ class Scenario:
     arrival_style: str = "uniform"
     policy: str | None = None
     retry_policy: RetryPolicy = RetryPolicy.ON_CONFLICT
-    trace: bool = False
+    trace: bool = False     # record the run into a fresh Observer
     faults: FaultPlan | None = None
     admission: AdmissionPolicy | None = None
     retry_guard: RetryGuard | None = None

@@ -33,7 +33,7 @@ from repro.sim.locks import LockManager
 from repro.sim.objects import LockFreeObjectTable, RetryPolicy
 from repro.sim.kernel import Kernel, SimulationConfig, SyncMode
 from repro.sim.metrics import JobRecord, SimulationResult
-from repro.sim.tracing import TraceEvent, Tracer
+from repro.sim.tracing import TraceEvent, TraceKind, trace_events
 from repro.sim.gantt import render_gantt
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
     "JobRecord",
     "SimulationResult",
     "TraceEvent",
-    "Tracer",
+    "TraceKind",
+    "trace_events",
     "render_gantt",
 ]

@@ -7,8 +7,8 @@ survive), every job's segment progress and synchronization state, the
 :class:`~repro.sim.locks.LockManager` and NBW
 :class:`~repro.sim.objects.LockFreeObjectTable` tables, the UAM
 admission-guard window counters, the fault injector's RNG stream and
-one-shot bookkeeping, the monitor suite's dedup state, the accumulated
-:class:`~repro.sim.metrics.SimulationResult`, and the trace buffer.
+one-shot bookkeeping, the monitor suite's dedup state, and the
+accumulated :class:`~repro.sim.metrics.SimulationResult`.
 
 The restore contract is the same equivalence discipline PR 5 set for the
 fast path: ``restore(config, snapshot).run()`` finishes to a
@@ -20,9 +20,10 @@ that hold:
   process-global and never recycled), and every scheduling-pass cache is
   explicitly dropped via ``SchedulerPolicy.reset_caches()``, so a
   restored kernel can never replay a stale memoized pass;
-* the observer is **not** checkpointed — observation is a side channel
-  that must not perturb the simulation (DESIGN.md §10), so a resumed
-  run's obs summary covers only the post-restore suffix.
+* the observer (and so the kernel trace) is **not** checkpointed —
+  observation is a side channel that must not perturb the simulation
+  (DESIGN.md §10), so a resumed run's obs summary covers only the
+  post-restore suffix; older checkpoints' ``"trace"`` entry is ignored.
 
 Corruption is detected, never trusted: the envelope carries a SHA-256
 digest of the canonical state encoding plus a format version, and
@@ -42,7 +43,6 @@ from repro.sim.engine import EventQueue
 from repro.sim.events import CriticalTimeExpiry, JobArrival, Milestone
 from repro.sim.metrics import JobRecord, SimulationResult
 from repro.sim.objects import _ObjectState, _OpenAccess
-from repro.sim.tracing import TraceEvent, TraceKind
 from repro.tasks.job import Job, JobState
 from repro.tasks.segments import AccessKind
 
@@ -428,9 +428,6 @@ def snapshot_kernel(kernel: "Kernel") -> KernelCheckpoint:
             "flagged": sorted(list(key)
                               for key in kernel._monitors._flagged),
         }
-    if kernel.tracer.enabled:
-        state["trace"] = [event.to_dict() for event in kernel.tracer.events]
-
     return KernelCheckpoint.wrap(state)
 
 
@@ -576,12 +573,6 @@ def restore_kernel(config: "SimulationConfig",
         monitors._last_clock = state["monitors"]["last_clock"]
         monitors._flagged = {tuple(key)
                              for key in state["monitors"]["flagged"]}
-    if "trace" in state and kernel.tracer.enabled:
-        kernel.tracer.events = [
-            TraceEvent(time=doc["time"], kind=TraceKind(doc["kind"]),
-                       job=doc["job"], detail=doc["detail"])
-            for doc in state["trace"]
-        ]
 
     # A restored kernel must never replay a pass memoized before the
     # snapshot: serials changed and Job identities are new objects.

@@ -1,11 +1,11 @@
 """ASCII Gantt rendering of kernel traces.
 
-Turns a :class:`repro.sim.tracing.Tracer` into a per-task timeline —
-the quickest way to *see* preemptions, blocking waits, retries and
-aborts when debugging a scenario::
+Turns the kernel trace of a run recorded into an
+:class:`~repro.obs.Observer` into a per-task timeline — the quickest way
+to *see* preemptions, blocking waits, retries and aborts when debugging
+a scenario::
 
-    kernel, result = ...  # run with trace=True
-    print(render_gantt(kernel.tracer, horizon=config.horizon))
+    print(render_gantt(trace_events(observer), horizon=config.horizon))
 
 Lane characters: ``#`` running, ``!`` the instant of an abort, ``*`` the
 instant of a retry, ``.`` idle for that task.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.tracing import TraceKind, Tracer
+from repro.sim.tracing import TraceEvent, TraceKind
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class _Run:
     end: int
 
 
-def execution_runs(tracer: Tracer, horizon: int) -> list[_Run]:
+def execution_runs(trace: list[TraceEvent], horizon: int) -> list[_Run]:
     """Reconstruct CPU occupancy intervals from dispatch/idle/terminal
     events."""
     runs: list[_Run] = []
@@ -40,7 +40,7 @@ def execution_runs(tracer: Tracer, horizon: int) -> list[_Run]:
             runs.append(_Run(job=job, start=start, end=min(end, horizon)))
         current = None
 
-    for event in tracer.events:
+    for event in trace:
         if event.kind is TraceKind.DISPATCH:
             close(event.time)
             start = event.time
@@ -56,15 +56,16 @@ def execution_runs(tracer: Tracer, horizon: int) -> list[_Run]:
     return runs
 
 
-def render_gantt(tracer: Tracer, horizon: int, width: int = 72) -> str:
+def render_gantt(trace: list[TraceEvent], horizon: int,
+                 width: int = 72) -> str:
     """Render one lane per job, bucketed to ``width`` columns."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     if width < 8:
         raise ValueError("width must be at least 8 columns")
-    runs = execution_runs(tracer, horizon)
+    runs = execution_runs(trace, horizon)
     jobs: list[str] = []
-    for event in tracer.events:
+    for event in trace:
         if event.job and event.job not in jobs:
             jobs.append(event.job)
     lanes = {job: ["."] * width for job in jobs}
@@ -80,7 +81,7 @@ def render_gantt(tracer: Tracer, horizon: int, width: int = 72) -> str:
         for col in range(column(run.start), column(max(run.start,
                                                        run.end - 1)) + 1):
             lane[col] = "#"
-    for event in tracer.events:
+    for event in trace:
         if event.kind is TraceKind.ABORT and event.job in lanes:
             lanes[event.job][column(event.time)] = "!"
         elif event.kind is TraceKind.RETRY and event.job in lanes:

@@ -59,7 +59,6 @@ from repro.sim.locks import LockManager
 from repro.sim.metrics import SimulationResult, record_of
 from repro.sim.objects import LockFreeObjectTable, RetryPolicy
 from repro.sim.overheads import KernelCosts
-from repro.sim.tracing import TraceKind, Tracer
 from repro.tasks.job import Job, JobState
 from repro.tasks.segments import ObjectAccess, ReleaseLock
 from repro.tasks.task import TaskSpec
@@ -96,9 +95,9 @@ class SimulationConfig:
       clock monotonicity, lock state, abort point) recording violations
       into the result's degradation report.
 
-    ``observer`` attaches a recording :class:`repro.obs.Observer`; when
-    None (the default) the shared no-op singleton is used and the
-    instrumented hot paths cost one ``enabled`` attribute test each.
+    ``observer`` attaches a recording :class:`repro.obs.Observer`, the
+    kernel's only sink; when None (the default) the shared no-op
+    singleton is used and each instrumented site costs one attribute test.
     """
 
     tasks: Sequence[TaskSpec]
@@ -109,7 +108,6 @@ class SimulationConfig:
     costs: KernelCosts = field(default_factory=KernelCosts)
     retry_policy: RetryPolicy = RetryPolicy.ON_CONFLICT
     allow_nesting: bool = False
-    trace: bool = False
     # --- fault injection & graceful degradation (all optional) ---------
     fault_plan: FaultPlan | None = None
     admission: AdmissionPolicy | None = None
@@ -161,7 +159,6 @@ class Kernel:
 
     def __init__(self, config: SimulationConfig) -> None:
         self.config = config
-        self.tracer = Tracer(enabled=config.trace)
         self.obs = (config.observer if config.observer is not None
                     else NULL_OBSERVER)
         # The policy shares the kernel's sink (scheduler-internal hooks).
@@ -343,16 +340,20 @@ class Kernel:
             decision, when = self._admission.decide(event.task_index,
                                                     self._clock)
             if decision is Decision.SHED:
-                self.tracer.emit(self._clock, TraceKind.SHED,
-                                 f"{task.name}#{event.jid}",
-                                 detail="UAM max bound exceeded")
-                self.obs.counter("kernel.shed")
+                if self.obs.enabled:
+                    self.obs.counter("kernel.shed")
+                    self.obs.instant("shed", "admission", task.name,
+                                     self._clock,
+                                     {"job": f"{task.name}#{event.jid}",
+                                      "detail": "UAM max bound exceeded"})
                 return
             if decision is Decision.DEFER:
-                self.tracer.emit(self._clock, TraceKind.DEFER,
-                                 f"{task.name}#{event.jid}",
-                                 detail=f"until={when}")
-                self.obs.counter("kernel.deferrals")
+                if self.obs.enabled:
+                    self.obs.counter("kernel.deferrals")
+                    self.obs.instant("defer", "admission", task.name,
+                                     self._clock,
+                                     {"job": f"{task.name}#{event.jid}",
+                                      "until": when})
                 self._queue.push(when, EventPriority.ARRIVAL,
                                  JobArrival(task_index=event.task_index,
                                             jid=event.jid,
@@ -362,11 +363,9 @@ class Kernel:
         job = Job(task=task, jid=event.jid, release_time=self._clock)
         self._live.append(job)
         self._arm_critical_timer(job)
-        self.tracer.emit(self._clock, TraceKind.ARRIVAL, job.name)
         if self.obs.enabled:
             self.obs.counter("kernel.arrivals")
-            self.obs.instant("arrival", "job", task.name, self._clock,
-                             {"job": job.name})
+            self._record("arrival", "job", job)
         self._reschedule()
 
     def _arm_critical_timer(self, job: Job) -> None:
@@ -375,11 +374,13 @@ class Kernel:
         if self._injector is not None:
             drop, delay = self._injector.timer_disposition(job)
             if drop:
-                self.tracer.emit(self._clock, TraceKind.FAULT, job.name,
+                if self.obs.enabled:
+                    self._record("fault", "fault", job,
                                  detail="critical-time timer dropped")
                 return
             if delay:
-                self.tracer.emit(self._clock, TraceKind.FAULT, job.name,
+                if self.obs.enabled:
+                    self._record("fault", "fault", job,
                                  detail=f"critical-time timer +{delay}")
                 when += delay
         self._queue.push(when, EventPriority.TIMER,
@@ -434,8 +435,9 @@ class Kernel:
             self._result.lockfree_access_commits += 1
             self._result.lockfree_attempts += 1
             job.finish_segment()
-            self.tracer.emit(self._clock, TraceKind.ACCESS_COMMIT, job.name,
-                             detail=str(segment.obj))
+            if self.obs.enabled:
+                self._record("access_commit", "lockfree", job,
+                             obj=segment.obj)
             self._continue_running(job)
             return
         # Compute segment, or an access under SyncMode.NONE.
@@ -449,12 +451,17 @@ class Kernel:
         if job.holds_lock == obj:
             job.holds_lock = None
         for waiter in woken:
-            waiter.state = JobState.READY
-            waiter.blocked_on = None
-            self.tracer.emit(self._clock, TraceKind.UNBLOCK, waiter.name)
+            self._wake(waiter)
+        if self.obs.enabled:
+            self._record("lock_release", "lock", job, obj=obj)
+
+    def _wake(self, waiter: Job) -> None:
+        """A blocked waiter's lock was freed: its blocking interval ends."""
+        waiter.state = JobState.READY
+        waiter.blocked_on = None
+        if self.obs.enabled:
             self.obs.close_span(("block", waiter.name), self._clock)
-        self.tracer.emit(self._clock, TraceKind.LOCK_RELEASE, job.name,
-                         detail=str(obj))
+            self._record("unblock", "lock", waiter)
 
     def _release_segment(self, job: Job) -> None:
         """Process a :class:`ReleaseLock` segment reached by the running
@@ -486,19 +493,19 @@ class Kernel:
         if isinstance(segment, ObjectAccess) and sync is SyncMode.LOCK_BASED:
             # Lock request: a scheduling event.  The job stops here; the
             # acquisition is attempted during the dispatch walk.
-            self.tracer.emit(self._clock, TraceKind.ACCESS_BEGIN, job.name,
-                             detail=str(segment.obj))
+            if self.obs.enabled:
+                self._record("access_begin", "lock", job, obj=segment.obj)
             cost = self._cost("lock_overhead")
             self._result.lock_mechanism_time += cost
             self._reschedule(extra_overhead=cost, lock_event=True)
             return
         # Compute segment, SyncMode.NONE access, or lock-free access: keep
         # running without a scheduler pass.
-        delay = self._enter_segment(job, trace=True)
+        delay = self._enter_segment(job, record_begin=True)
         self._running_since = self._clock + delay
         self._push_milestone(job)
 
-    def _enter_segment(self, job: Job, trace: bool) -> int:
+    def _enter_segment(self, job: Job, record_begin: bool) -> int:
         """Prepare the job's current segment for execution; return extra
         mechanism delay (CAS attempt cost, retry backoff) to charge
         before work starts.
@@ -512,7 +519,8 @@ class Kernel:
             extra = self._injector.overrun_for(job)
             if extra:
                 job.segment_extra = extra
-                self.tracer.emit(self._clock, TraceKind.FAULT, job.name,
+                if self.obs.enabled:
+                    self._record("fault", "fault", job,
                                  detail=f"segment overrun +{extra}")
         if not isinstance(segment, ObjectAccess):
             return 0
@@ -521,9 +529,9 @@ class Kernel:
             return 0
         if self._objects.open_access_of(job) is None:
             self._objects.begin(job, segment)
-            if trace:
-                self.tracer.emit(self._clock, TraceKind.ACCESS_BEGIN,
-                                 job.name, detail=str(segment.obj))
+            if record_begin and self.obs.enabled:
+                self._record("access_begin", "lockfree", job,
+                             obj=segment.obj)
             cost = self._cost("cas_overhead")
             self._result.lockfree_mechanism_time += cost
             return cost
@@ -531,8 +539,6 @@ class Kernel:
             wasted = job.restart_access()
             self._objects.record_retry(job)
             self._result.lockfree_attempts += 1
-            self.tracer.emit(self._clock, TraceKind.RETRY, job.name,
-                             detail=f"obj={segment.obj} wasted={wasted}")
             if self._monitors is not None:
                 self._monitors.note_retry(self._clock, job)
             if self.obs.enabled:
@@ -548,6 +554,11 @@ class Kernel:
             return cost
         return 0
 
+    def _record(self, name: str, cat: str, job: Job, **args) -> None:
+        """Record a happening of ``job`` now (callers check obs.enabled)."""
+        self.obs.instant(name, cat, job.task.name, self._clock,
+                         {"job": job.name, **args})
+
     def _note_retry_obs(self, job: Job, obj, wasted: int) -> None:
         """Per-object retry counter track, wasted-work histogram, and
         the live comparison of this job's retry count against its
@@ -555,8 +566,7 @@ class Kernel:
         obs = self.obs
         obs.tick_counter(f"retries.{obj}", self._clock)
         obs.histogram("retry.wasted_ns", wasted)
-        obs.instant("retry", "lockfree", job.task.name, self._clock,
-                    {"job": job.name, "obj": str(obj), "wasted": wasted})
+        self._record("retry", "lockfree", job, obj=str(obj), wasted=wasted)
         retries = self._objects.retries_of(job)
         bound = self._retry_bound_of(job)
         if bound is not None and retries > bound:
@@ -639,7 +649,8 @@ class Kernel:
                     and self._objects.must_retry(chosen)
                     and self.config.retry_guard.exhausted(
                         self._objects.retries_of(chosen))):
-                self.tracer.emit(now, TraceKind.FAULT, chosen.name,
+                if obs.enabled:
+                    self._record("fault", "fault", chosen,
                                  detail="retry budget exhausted: aborting")
                 self._abort(chosen)
                 cost += (self._cost("timer_overhead")
@@ -659,8 +670,6 @@ class Kernel:
                 and self.config.sync is SyncMode.LOCK_BASED):
             self._monitors.audit_locks(
                 now, list(self._live), self._locks)
-        self.tracer.emit(now, TraceKind.SCHED_PASS, "",
-                         detail=f"n={n} cost={cost}")
         if obs.enabled:
             # Wall ns are summary-only (never exported into the trace);
             # the span carries the deterministic simulated cost.
@@ -691,20 +700,19 @@ class Kernel:
                 if self._locks.try_acquire(job, obj):
                     job.holds_lock = obj
                     job.held_locks.add(obj)
-                    self.tracer.emit(now, TraceKind.LOCK_ACQUIRE, job.name,
-                                     detail=str(obj))
+                    if self.obs.enabled:
+                        self._record("lock_acquire", "lock", job, obj=obj)
                     return job, blocked_any, extra_cost
                 job.state = JobState.BLOCKED
                 job.blocked_on = obj
                 job.blockings += 1
                 blocked_any = True
-                self.tracer.emit(now, TraceKind.BLOCK, job.name,
-                                 detail=str(obj))
                 if self.obs.enabled:
                     self.obs.counter("kernel.blockings")
                     self.obs.open_span(("block", job.name),
                                        f"blocked:{obj}", "lock",
-                                       job.task.name, now)
+                                       job.task.name, now,
+                                       {"job": job.name, "obj": obj})
                 # The failed acquisition re-activates the scheduler.
                 activation = self.config.policy.cost_model.cost(n)
                 extra_cost += activation
@@ -742,32 +750,33 @@ class Kernel:
                 if (self._injector is not None
                         and self._injector.spurious_invalidate(
                             previous, self._objects)):
-                    self.tracer.emit(now, TraceKind.FAULT, previous.name,
+                    if self.obs.enabled:
+                        self._record("fault", "fault", previous,
                                      detail="spurious access invalidation")
-            self.tracer.emit(now, TraceKind.PREEMPT, previous.name)
             if self.obs.enabled:
                 self.obs.counter("kernel.preemptions")
-                self.obs.instant("preempt", "job", previous.task.name, now,
-                                 {"job": previous.name})
+                self._record("preempt", "job", previous)
         # Kernel work is serialized: overhead charged by an earlier pass
         # at this instant (abort handlers, timer service) delays this one.
         busy_from = max(now, self._kernel_free_at)
         if chosen is None:
             self._running = None
             self._kernel_free_at = busy_from + cost
-            self.tracer.emit(now, TraceKind.IDLE, "")
+            if self.obs.enabled:
+                self.obs.instant("idle", "sched", "kernel", now)
             return
         start = busy_from + cost
         if switching:
             start += self._cost("context_switch")
         self._kernel_free_at = start
-        entry_delay = self._enter_segment(chosen, trace=switching)
+        entry_delay = self._enter_segment(chosen, record_begin=switching)
         chosen.state = JobState.RUNNING
         chosen.dispatch_token += 1
         self._running = chosen
         self._running_since = start + entry_delay
-        self.tracer.emit(now, TraceKind.DISPATCH, chosen.name,
-                         detail=f"start={self._running_since}")
+        if self.obs.enabled:
+            self._record("dispatch", "job", chosen,
+                         start=self._running_since)
         self._push_milestone(chosen)
 
     def _push_milestone(self, job: Job) -> None:
@@ -785,16 +794,13 @@ class Kernel:
         job.completion_time = self._clock
         job.accrued_utility = job.task.tuf.utility(job.sojourn_time())
         self._result.records.append(record_of(job))
-        self.tracer.emit(self._clock, TraceKind.COMPLETE, job.name,
-                         detail=f"utility={job.accrued_utility:.3f}")
         if self.obs.enabled:
             self.obs.counter("kernel.completions")
             self.obs.histogram("job.sojourn_ns", job.sojourn_time())
             self.obs.histogram("job.retries", job.retries)
             self.obs.histogram("job.utility", job.accrued_utility)
-            self.obs.instant("complete", "job", job.task.name, self._clock,
-                             {"job": job.name,
-                              "utility": round(job.accrued_utility, 6)})
+            self._record("complete", "job", job,
+                         utility=job.accrued_utility)
         if job is self._running:
             self._running = None
         # Departure is a scheduling event.
@@ -812,21 +818,17 @@ class Kernel:
             job.holds_lock = None
             job.held_locks.clear()
             for waiter in woken:
-                waiter.state = JobState.READY
-                waiter.blocked_on = None
-                self.tracer.emit(self._clock, TraceKind.UNBLOCK, waiter.name)
+                self._wake(waiter)
         elif self.config.sync is SyncMode.LOCK_FREE:
             self._objects.abandon(job)
         if job is self._running:
             self._running = None
         self._result.records.append(record_of(job))
-        self.tracer.emit(self._clock, TraceKind.ABORT, job.name)
         if self.obs.enabled:
             self.obs.close_span(("block", job.name), self._clock)
             self.obs.counter("kernel.aborts")
             self.obs.histogram("job.retries", job.retries)
-            self.obs.instant("abort", "job", job.task.name, self._clock,
-                             {"job": job.name})
+            self._record("abort", "job", job)
 
     # ------------------------------------------------------------------
     # Execution accounting

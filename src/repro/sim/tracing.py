@@ -1,16 +1,20 @@
-"""Execution tracing.
+"""The kernel trace: a typed read view of the observer's event stream.
 
-The tracer records kernel-level happenings (dispatches, preemptions,
-blockings, retries, aborts, completions) as a flat, append-only list of
-:class:`TraceEvent`.  Tests use traces to assert fine-grained behaviour;
-the experiment harness uses them to measure effective object access times
-for Figure 8.
+The kernel records every happening (arrivals, dispatches, preemptions,
+blockings, lock and object operations, retries, aborts, completions,
+scheduling passes, injected faults, admission decisions) once, into its
+:class:`repro.obs.Observer`.  :func:`trace_events` projects that stream
+onto a flat list of :class:`TraceEvent` — one per happening, in the
+order they occurred — which is what the Gantt renderer
+(:mod:`repro.sim.gantt`) and fine-grained kernel tests read.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+from repro.obs.events import InstantEvent, SpanEvent
 
 
 class TraceKind(enum.Enum):
@@ -41,39 +45,39 @@ class TraceEvent:
     job: str            # job name, or "" for kernel-level events
     detail: str = ""
 
-    def __str__(self) -> str:
-        suffix = f" {self.detail}" if self.detail else ""
-        return f"[{self.time:>12}] {self.kind.value:<13} {self.job}{suffix}"
 
-    def to_dict(self) -> dict:
-        """JSON-ready form (the obs exporters embed trace events as an
-        extra lane in the Chrome trace)."""
-        return {"time": self.time, "kind": self.kind.value,
-                "job": self.job, "detail": self.detail}
+#: How each kind's ``detail`` is formatted from its event's args.
+_DETAIL = {
+    TraceKind.DISPATCH: "start={start}",
+    TraceKind.RETRY: "obj={obj} wasted={wasted}",
+    TraceKind.COMPLETE: "utility={utility:.3f}",
+    TraceKind.SCHED_PASS: "n={n} cost={cost}",
+    TraceKind.DEFER: "until={until}",
+    TraceKind.FAULT: "{detail}",
+    TraceKind.SHED: "{detail}",
+    **dict.fromkeys((TraceKind.BLOCK, TraceKind.LOCK_ACQUIRE,
+                     TraceKind.LOCK_RELEASE, TraceKind.ACCESS_BEGIN,
+                     TraceKind.ACCESS_COMMIT), "{obj}"),
+}
+_KINDS = {kind.value: kind for kind in TraceKind}
 
 
-class Tracer:
-    """Collects trace events; disabled tracers are near-free."""
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self.events: list[TraceEvent] = []
-
-    def emit(self, time: int, kind: TraceKind, job: str = "",
-             detail: str = "") -> None:
-        if self.enabled:
-            self.events.append(TraceEvent(time, kind, job, detail))
-
-    def of_kind(self, kind: TraceKind) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind is kind]
-
-    def for_job(self, job_name: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.job == job_name]
-
-    def dump(self) -> str:
-        return "\n".join(str(e) for e in self.events)
-
-    def clear(self) -> None:
-        """Drop recorded events (keeps ``enabled``); lets long-lived
-        harnesses bound memory between instrumented runs."""
-        self.events.clear()
+def trace_events(observer) -> list[TraceEvent]:
+    """Project a recorded observer's event stream onto the kernel trace:
+    instants named after a :class:`TraceKind` map one to one, a
+    ``sched.decision`` span is a pass (its duration the charged cost) and
+    a ``blocked:<obj>`` span a blocking; other events are skipped."""
+    events: list[TraceEvent] = []
+    for event in observer.events:
+        if type(event) is InstantEvent and event.name in _KINDS:
+            kind, time, args = _KINDS[event.name], event.ts, dict(event.args)
+        elif type(event) is SpanEvent and event.name == "sched.decision":
+            kind, time = TraceKind.SCHED_PASS, event.start
+            args = {"n": dict(event.args)["n"], "cost": event.duration}
+        elif type(event) is SpanEvent and event.name.startswith("blocked:"):
+            kind, time, args = TraceKind.BLOCK, event.start, dict(event.args)
+        else:
+            continue
+        detail = _DETAIL.get(kind, "").format(**args)
+        events.append(TraceEvent(time, kind, args.get("job", ""), detail))
+    return events

@@ -10,9 +10,11 @@ from repro.arrivals import UAMSpec
 from repro.core.edf import EDF
 from repro.core.rua_lockbased import LockBasedRUA
 from repro.core.rua_lockfree import LockFreeRUA
+from repro.obs import Observer
 from repro.sim.kernel import Kernel, SimulationConfig, SyncMode
 from repro.sim.objects import RetryPolicy
 from repro.sim.overheads import KernelCosts, ZeroCost
+from repro.sim.tracing import TraceKind, trace_events
 from repro.tasks import Compute, ObjectAccess, TaskSpec
 from repro.tasks.segments import AccessKind
 from repro.tuf import StepTUF
@@ -46,7 +48,8 @@ def run_scenario(tasks, traces_us, sync=SyncMode.NONE, policy=None,
                  retry_policy=RetryPolicy.ON_CONFLICT,
                  allow_nesting=False):
     """Run a hand-built scenario with zero-cost scheduling by default, so
-    assertions about timing are exact."""
+    assertions about timing are exact.  ``trace`` records the run into a
+    fresh :class:`Observer` (read the kernel trace with :func:`of_kind`)."""
     if policy is None:
         policy = EDF(cost_model=ZeroCost())
     config = SimulationConfig(
@@ -58,11 +61,16 @@ def run_scenario(tasks, traces_us, sync=SyncMode.NONE, policy=None,
         costs=costs or KernelCosts.ideal(),
         retry_policy=retry_policy,
         allow_nesting=allow_nesting,
-        trace=trace,
+        observer=Observer() if trace else None,
     )
     kernel = Kernel(config)
     result = kernel.run()
     return kernel, result
+
+
+def of_kind(kernel, kind: TraceKind):
+    """The kernel trace events of one kind, in order."""
+    return [e for e in trace_events(kernel.obs) if e.kind is kind]
 
 
 def random_workload(rng, horizon_us: int = 20_000, kind: str | None = None):

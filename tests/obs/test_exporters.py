@@ -1,6 +1,7 @@
 """Unit tests for the Chrome-trace / JSONL / summary exporters."""
 
 import json
+from collections import Counter
 
 from repro.obs import Histogram, Observer
 from repro.obs.exporters import (
@@ -10,7 +11,7 @@ from repro.obs.exporters import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.sim.tracing import TraceKind, Tracer
+from repro.sim.tracing import TraceKind, trace_events
 
 
 def _sample_observer() -> Observer:
@@ -52,17 +53,25 @@ class TestChromeTrace:
         assert counter["tid"] == 0
         assert counter["args"] == {"value": 1}
 
-    def test_tracer_lane_appended(self):
-        tracer = Tracer()
-        tracer.emit(5_000, TraceKind.COMPLETE, "T0#0", detail="u=1.0")
-        doc = chrome_trace(_sample_observer(), tracer)
-        meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
-        assert meta[-1]["args"]["name"] == "trace"
-        lane = meta[-1]["tid"]
-        trace_events = [e for e in doc["traceEvents"]
-                        if e.get("cat") == "trace"]
-        assert len(trace_events) == 1
-        assert trace_events[0]["tid"] == lane
+    def test_no_extra_trace_lane(self):
+        obs = _sample_observer()
+        obs.instant("complete", "job", "T0", 5_000,
+                    {"job": "T0#0", "utility": 1.0})
+        doc = chrome_trace(obs)
+        lanes = [e["args"]["name"] for e in doc["traceEvents"]
+                 if e["ph"] == "M"]
+        assert lanes == ["T0", "kernel", "T1"]
+        assert not any(e.get("cat") == "trace" for e in doc["traceEvents"])
+
+    def test_events_follow_recording_order(self):
+        obs = Observer()
+        obs.instant("arrival", "job", "T0", 0, {"job": "T0#0"})
+        obs.open_span("k", "blocked:0", "lock", "T0", 10)
+        obs.instant("lock_release", "lock", "T1", 20, {"job": "T1#0"})
+        obs.close_span("k", 20)
+        names = [e["name"] for e in chrome_trace(obs)["traceEvents"]
+                 if e["ph"] in ("X", "i")]
+        assert names == ["arrival", "blocked:0", "lock_release"]
 
     def test_empty_observer(self):
         doc = chrome_trace(Observer())
@@ -74,6 +83,58 @@ class TestChromeTrace:
         loaded = json.loads(path.read_text())
         assert "traceEvents" in loaded
         assert path.read_text().endswith("\n")
+
+
+def _chrome_name(event) -> str:
+    """The Chrome event name a kernel trace event is exported under."""
+    if event.kind is TraceKind.SCHED_PASS:
+        return "sched.decision"
+    if event.kind is TraceKind.BLOCK:
+        return f"blocked:{event.detail}"
+    return event.kind.value
+
+
+class TestKernelHappeningsOnce:
+    """Every kernel happening is one event of the Chrome trace: the
+    kernel trace and the exported document agree on (name, ts, job) as
+    multisets, so nothing is exported twice or left out."""
+
+    def _check(self, tmp_path, **profile_args):
+        from repro.obs.profile import run_profile
+
+        prof = run_profile(**profile_args)
+        path = tmp_path / "trace.json"
+        write_chrome_trace(path, prof.observer)
+        doc = json.loads(path.read_text())
+        kernel = trace_events(prof.observer)
+        expected = Counter((_chrome_name(e), e.time / 1000.0, e.job)
+                           for e in kernel)
+        names = {name for name, _, _ in expected}
+        exported = Counter(
+            (e["name"], e["ts"], e["args"].get("job", ""))
+            for e in doc["traceEvents"]
+            if e["ph"] in ("X", "i") and e["name"] in names)
+        assert exported == expected
+        lanes = {e["args"]["name"] for e in doc["traceEvents"]
+                 if e["ph"] == "M"}
+        assert "trace" not in lanes
+        return prof, kernel
+
+    def test_lockfree_run_with_retries(self, tmp_path):
+        prof, kernel = self._check(tmp_path, workload="step",
+                                   sync="lockfree", horizon_us=50_000,
+                                   seed=7)
+        assert prof.result.total_retries > 0
+        kinds = {e.kind for e in kernel}
+        assert {TraceKind.RETRY, TraceKind.DISPATCH, TraceKind.PREEMPT,
+                TraceKind.ACCESS_COMMIT, TraceKind.SCHED_PASS} <= kinds
+
+    def test_lockbased_run_with_locks(self, tmp_path):
+        prof, kernel = self._check(tmp_path, workload="step",
+                                   sync="lockbased", horizon_us=50_000,
+                                   seed=7)
+        kinds = {e.kind for e in kernel}
+        assert {TraceKind.LOCK_ACQUIRE, TraceKind.LOCK_RELEASE} <= kinds
 
 
 class TestJsonl:
@@ -131,7 +192,7 @@ class TestExporterEdgeCases:
         assert not any(i.name == "complete"
                        for i in prof.observer.instants)
         path = tmp_path / "nocomplete.json"
-        write_chrome_trace(path, prof.observer, prof.tracer)
+        write_chrome_trace(path, prof.observer)
         loaded = json.loads(path.read_text())
         assert isinstance(loaded["traceEvents"], list)
         meta = [e for e in loaded["traceEvents"] if e["ph"] == "M"]

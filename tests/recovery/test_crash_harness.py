@@ -192,6 +192,7 @@ def test_serve_sigkill_warm_restart(tmp_path):
 
     from repro.api import simulate
     from repro.serve import canonical_payload_json, result_payload
+    from repro.serve.cache import ResultCache
 
     cache_dir = tmp_path / "cache"
     wal = tmp_path / "requests.wal"
@@ -218,6 +219,12 @@ def test_serve_sigkill_warm_restart(tmp_path):
             proc.wait(timeout=30)
     admitted = _wal_digests(wal)
     assert admitted == {s.digest() for s in scenarios}
+    # The atomic cache put is the commit record: whatever committed
+    # before the kill is done, everything else must be recovered.
+    cache = ResultCache(cache_dir)
+    cached_at_restart = {digest for digest in admitted
+                         if cache.path_for(digest).exists()}
+    to_recover = admitted - cached_at_restart
 
     # Warm restart against the same cache + WAL, on the SAME port: the
     # SIGKILLed server's orphaned pool workers must not hold the
@@ -232,8 +239,7 @@ def test_serve_sigkill_warm_restart(tmp_path):
                     health = json.loads(response.read())
             except (urllib.error.URLError, OSError):
                 return False
-            return health["recovery"]["complete"] and \
-                health["recovery"]["recovered"] > 0
+            return health["recovery"]["complete"]
 
         _wait_for(recovered, timeout_s=240, message="recovery complete")
 
@@ -249,7 +255,11 @@ def test_serve_sigkill_warm_restart(tmp_path):
 
         with urllib.request.urlopen(url + "/stats", timeout=5) as response:
             stats = json.loads(response.read())
-        assert stats["recovery"]["recovered"] == len(scenarios)
+        # Exactly once: the restart recomputed precisely the uncommitted
+        # requests, each one time, and served the rest from the cache.
+        assert stats["recovery"]["recovered"] == len(to_recover)
+        assert stats["pool"]["executions"] == len(to_recover)
+        assert stats["cache"]["writes"] == len(to_recover)
         assert not any(code.startswith("5")
                        for code in stats["responses"])
     finally:

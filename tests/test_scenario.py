@@ -232,3 +232,23 @@ def test_digest_rejects_runtime_scenarios():
     tasks = tuple(paper_taskset(random.Random(0), n_tasks=2))
     with pytest.raises(ValueError):
         Scenario(tasks=tasks).digest()
+
+
+def test_trace_flag_records_without_changing_the_result():
+    import dataclasses
+
+    from repro.serve import result_payload
+
+    base = quick_scenario(n_tasks=3, n_objects=2, seed=7, horizon_us=50_000)
+    traced_scenario = dataclasses.replace(base, trace=True)
+    plain = simulate(base)
+    traced = simulate(traced_scenario)
+    assert plain.result.obs is None
+    assert traced.result.obs["enabled"] is True
+    assert traced.result.obs["counters"]["kernel.arrivals"] > 0
+    # Only the scenario digest (trace is part of it) may differ.
+    payload_plain = result_payload(base, plain)
+    payload_traced = result_payload(traced_scenario, traced)
+    assert payload_plain.pop("scenario_digest") != \
+        payload_traced.pop("scenario_digest")
+    assert payload_traced == payload_plain
