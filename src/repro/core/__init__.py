@@ -17,8 +17,9 @@
 from repro.core.interface import PassResult, SchedulerPolicy, fastpath_enabled
 from repro.core.dependency import (
     DeadlockDetected,
+    WaitForGraph,
     blocking_owner,
-    dependency_chain,
+    detect_deadlock,
     needed_object,
 )
 from repro.core.pud import chain_pud, completion_estimates
@@ -29,7 +30,7 @@ from repro.core.schedule_builder import (
     insert_chain,
 )
 from repro.core.schedule_cache import ScheduleCache, build_singleton_schedule
-from repro.core.deadlock import detect_deadlock, pick_deadlock_victim
+from repro.core.deadlock import pick_deadlock_victim
 from repro.core.rua_lockbased import LockBasedRUA
 from repro.core.rua_lockfree import LockFreeRUA
 from repro.core.edf import EDF
@@ -45,7 +46,7 @@ __all__ = [
     "DeadlockDetected",
     "needed_object",
     "blocking_owner",
-    "dependency_chain",
+    "WaitForGraph",
     "chain_pud",
     "completion_estimates",
     "is_feasible",

@@ -1,52 +1,18 @@
-"""Deadlock detection and resolution (Section 3.3).
+"""Deadlock resolution (Section 3.3).
 
 Deadlocks can only arise with nested critical sections; they manifest as
 a cycle in the dependency relation.  RUA adopts detection-and-resolution
 (not avoidance/prevention) because the dynamic systems it targets do not
 reveal which resources activities will need, for how long, or in what
 order.  Resolution aborts the job on the cycle "which will likely
-contribute the least utility" — the lowest-PUD cycle member.
+contribute the least utility" — the lowest-PUD cycle member.  Cycles are
+found by :func:`repro.core.dependency.detect_deadlock`.
 """
 
 from __future__ import annotations
 
-from repro.core.dependency import blocking_owner
 from repro.core.pud import chain_pud
-from repro.sim.locks import LockManager
 from repro.tasks.job import Job
-
-
-def detect_deadlock(jobs: list[Job], locks: LockManager,
-                    ignore: frozenset[Job] | set[Job] = frozenset()
-                    ) -> list[Job] | None:
-    """Find a dependency cycle among ``jobs``, or None.
-
-    Follows each job's direct-dependency pointer; since every job has at
-    most one outgoing edge (it waits for at most one object), the
-    structure is a functional graph and cycle detection is a pointer walk
-    with a visit stamp — ``O(n)`` overall.  Jobs in ``ignore`` (already
-    chosen as abort victims this pass) are treated as departed.
-    """
-    color: dict[Job, int] = {}  # 0 unseen implicit, 1 on current path, 2 done
-    for root in jobs:
-        if root in ignore or color.get(root):
-            continue
-        path: list[Job] = []
-        current: Job | None = root
-        while current is not None and color.get(current) is None:
-            color[current] = 1
-            path.append(current)
-            current = blocking_owner(current, locks, ignore)
-        if current is not None and color.get(current) == 1:
-            # `current` is on the active path: the cycle runs from its
-            # first occurrence to the end of the path.
-            start = path.index(current)
-            for job in path:
-                color[job] = 2
-            return path[start:]
-        for job in path:
-            color[job] = 2
-    return None
 
 
 def pick_deadlock_victim(cycle: list[Job], now: int) -> Job:

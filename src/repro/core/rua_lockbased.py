@@ -14,17 +14,22 @@ Asymptotic cost ``O(n^2 log n)``, dominated by Step 5 (Section 3.6); the
 matching simulated cost is charged through
 :func:`repro.sim.overheads.default_lockbased_rua_cost`.
 
-Step 5 runs through one of three result-identical constructions: when
-every chain is a singleton (no job blocked) the copy-free specialization
-with cross-pass repair (:mod:`repro.core.schedule_cache`); with real
-chains the undo-log in-place builder; under ``REPRO_NO_FASTPATH`` the
-copying Section 3.4 reference.
+Steps 1 and 3 read one :class:`~repro.core.dependency.WaitForGraph` per
+pass.  Step 5 runs through one of three result-identical constructions:
+when no job waits the copy-free singleton specialization with cross-pass
+repair (:mod:`repro.core.schedule_cache`); with real chains the undo-log
+in-place builder; under ``REPRO_NO_FASTPATH`` the copying Section 3.4
+reference.
 """
 
 from __future__ import annotations
 
-from repro.core.deadlock import detect_deadlock, pick_deadlock_victim
-from repro.core.dependency import all_dependency_chains
+from repro.core.deadlock import pick_deadlock_victim
+from repro.core.dependency import (
+    WaitForGraph,
+    all_dependency_chains,
+    detect_deadlock,
+)
 from repro.core.interface import PassResult, SchedulerPolicy, fastpath_enabled
 from repro.core.pud import chain_pud
 from repro.core.schedule_builder import (
@@ -55,40 +60,34 @@ class LockBasedRUA(SchedulerPolicy):
     def _compute(self, jobs: list[Job], locks: LockManager | None,
                  now: int) -> PassResult:
         candidates = list(jobs)
-        victims: set[Job] = set()
-        # Step 3 first in implementation order: resolving a deadlock
-        # changes the chains, so victims are excluded before chains are
-        # (re)built.  Detection itself is O(n), cheaper than chain
-        # construction (Section 3.6 notes it never dominates).  A victim's
-        # locks are only rolled back by the kernel after this pass, so the
-        # walk must ignore victims rather than rely on the lock state.
+        victims = 0
+        # Steps 1 and 3 read one wait-for graph, walked once per pass.
+        # Step 3 runs first: resolving a deadlock changes the chains.  A
+        # victim's locks are only rolled back by the kernel after this
+        # pass, so the graph drops the edges into it instead.
+        graph = WaitForGraph(candidates, locks)
         if self.detect_deadlocks and locks is not None:
             while True:
-                cycle = detect_deadlock(candidates, locks, ignore=victims)
+                cycle = detect_deadlock(graph)
                 if cycle is None:
                     break
                 victim = pick_deadlock_victim(cycle, now)
                 self.request_abort(victim)
-                victims.add(victim)
+                graph.drop(victim)
+                victims += 1
                 candidates = [j for j in candidates if j is not victim]
         # Steps 1-2: dependency chains and PUDs.  With detection enabled
         # every cycle has been resolved above, so chains cannot close;
         # with detection disabled, truncate instead of raising so the
         # scheduler still produces an order (the cycle members will sit
-        # blocked until their critical-time aborts break it).
+        # blocked until their critical-time aborts break it).  None
+        # means no job waits: every chain is the job itself.
         on_cycle = "raise" if self.detect_deadlocks else "truncate"
-        chains = all_dependency_chains(candidates, locks, ignore=victims,
-                                       on_cycle=on_cycle)
-        chain_len_max = 0
-        singleton = True
-        for chain in chains.values():
-            length = len(chain)
-            if length > chain_len_max:
-                chain_len_max = length
-                if length > 1:
-                    singleton = False
+        chains = all_dependency_chains(graph, on_cycle=on_cycle)
+        chain_len_max = (min(len(candidates), 1) if chains is None
+                         else max(map(len, chains.values())))
         fast = fastpath_enabled()
-        if fast and singleton:
+        if fast and chains is None:
             # Step 4-5, singleton specialization: every chain is the job
             # itself, so the PUD inlines (same arithmetic as chain_pud on
             # a one-job chain) and the copy-free builder applies.
@@ -109,6 +108,8 @@ class LockBasedRUA(SchedulerPolicy):
                  for key, remaining, job in entries],
                 now, cache=self._schedule_cache, obs=self.obs)
         else:
+            if chains is None:
+                chains = {job: [job] for job in candidates}
             puds = {job: chain_pud(chains[job], now) for job in candidates}
             # Step 4: non-increasing PUD; deterministic tie-breaks
             # (earlier critical time, then name).
@@ -124,5 +125,5 @@ class LockBasedRUA(SchedulerPolicy):
                 order = build_rua_schedule(pud_order, chains, now)
         return PassResult(order=order,
                           rejections=len(candidates) - len(order),
-                          victims=len(victims),
+                          victims=victims,
                           chain_len_max=chain_len_max)

@@ -633,6 +633,8 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
     server: _ServeHTTPServer
     protocol_version = "HTTP/1.1"
+    # Else Nagle holds a keep-alive body ~40 ms for the delayed ACK.
+    disable_nagle_algorithm = True
 
     # -- helpers -------------------------------------------------------
 

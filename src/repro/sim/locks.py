@@ -20,7 +20,7 @@ ObjectId = int | str
 
 
 class LockManager:
-    """Tracks lock ownership, waiters, and the resulting dependencies."""
+    """Tracks lock ownership and waiters."""
 
     def __init__(self, allow_nesting: bool = False) -> None:
         self._allow_nesting = allow_nesting
@@ -111,13 +111,6 @@ class LockManager:
     def waiters_on(self, obj: ObjectId) -> tuple[Job, ...]:
         return tuple(self._waiters.get(obj, ()))
 
-    def blocking_job(self, job: Job) -> Job | None:
-        """The job that ``job`` directly depends on (the owner of the
-        object ``job`` waits for), or None."""
-        if job.blocked_on is None:
-            return None
-        return self._owner.get(job.blocked_on)
-
     def consistency_anomalies(self) -> list[str]:
         """Self-audit of the manager's internal bookkeeping, for the
         runtime lock-state invariant monitor.  Returns human-readable
@@ -149,18 +142,3 @@ class LockManager:
                     anomalies.append(
                         f"dead job {waiter.name} still waits on {obj!r}")
         return anomalies
-
-    def dependency_edges(self) -> dict[Job, Job]:
-        """Direct dependency map: waiter -> owner, for every blocked job.
-
-        This is the raw material from which RUA builds dependency chains
-        (Section 3.1).
-        """
-        edges: dict[Job, Job] = {}
-        for obj, waiters in self._waiters.items():
-            owner = self._owner.get(obj)
-            if owner is None:
-                continue
-            for waiter in waiters:
-                edges[waiter] = owner
-        return edges

@@ -29,13 +29,15 @@ class JobState(Enum):
     ABORTED = "aborted"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Job:
     """One invocation ``J_{i,j}`` of task ``T_i``.
 
-    Mutable runtime state owned by the kernel.  Progress is tracked as
-    (current segment index, time ticks (ns) completed inside that segment);
-    a lock-free retry resets the in-segment progress to zero.
+    Mutable runtime state owned by the kernel, so equality and hashing
+    are by identity (``eq=False`` keeps ``object``'s).  Progress is
+    tracked as (current segment index, time ticks (ns) completed inside
+    that segment); a lock-free retry resets the in-segment progress to
+    zero.
     """
 
     task: TaskSpec
@@ -166,13 +168,6 @@ class Job:
             f"Job({self.name}, {self.state.value}, seg={self.segment_index}"
             f"+{self.segment_progress}, rel={self.release_time})"
         )
-
-    # Identity semantics: jobs are mutable kernel entities.
-    def __hash__(self) -> int:
-        return id(self)
-
-    def __eq__(self, other: object) -> bool:
-        return self is other
 
 
 def job_body_valid_for_lockfree(task: TaskSpec) -> bool:

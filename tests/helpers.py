@@ -7,6 +7,7 @@ scenarios read like the paper's workloads.
 from __future__ import annotations
 
 from repro.arrivals import UAMSpec
+from repro.core.dependency import WaitForGraph, all_dependency_chains
 from repro.core.edf import EDF
 from repro.core.rua_lockbased import LockBasedRUA
 from repro.core.rua_lockfree import LockFreeRUA
@@ -16,7 +17,7 @@ from repro.sim.objects import RetryPolicy
 from repro.sim.overheads import KernelCosts, ZeroCost
 from repro.sim.tracing import TraceKind, trace_events
 from repro.tasks import Compute, ObjectAccess, TaskSpec
-from repro.tasks.segments import AccessKind
+from repro.tasks.segments import AccessKind, ReleaseLock
 from repro.tuf import StepTUF
 from repro.tuf.base import TimeUtilityFunction
 from repro.units import MS, US
@@ -41,6 +42,36 @@ def simple_task(name: str, critical_us: int, compute_us: int,
         body=tuple(body),
         abort_handler_time=handler_us * US,
     )
+
+
+def nested_task(name: str, first, second, critical_us: int,
+                height: float = 1.0) -> TaskSpec:
+    """compute, acquire ``first`` (held), compute, acquire ``second``,
+    release ``first``, compute: a nested critical section."""
+    return TaskSpec(
+        name=name,
+        arrival=UAMSpec(1, 1, 60 * MS),
+        tuf=StepTUF(critical_time=critical_us * US, height=height),
+        body=(
+            Compute(100 * US),
+            ObjectAccess(obj=first, duration=2_000 * US,
+                         release_at_end=False),
+            Compute(500 * US),
+            ObjectAccess(obj=second, duration=200 * US),
+            ReleaseLock(obj=first),
+            Compute(100 * US),
+        ),
+    )
+
+
+def chains_of(graph: WaitForGraph, candidates, on_cycle: str = "raise"):
+    """Each of ``candidates``' chains in ``graph``: the singleton chains
+    ``all_dependency_chains`` leaves implicit (None: no job waits) are
+    spelled out, as ``LockBasedRUA._compute`` does on its general path."""
+    chains = all_dependency_chains(graph, on_cycle)
+    if chains is None:
+        chains = {job: [job] for job in candidates}
+    return chains
 
 
 def run_scenario(tasks, traces_us, sync=SyncMode.NONE, policy=None,

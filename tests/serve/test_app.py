@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -10,6 +11,7 @@ import pytest
 from repro.api import quick_scenario
 from repro.campaign.chaos import ChaosPlan
 from repro.serve import ServeApp, ServeConfig, load_drain_journal
+from repro.serve.app import _ServeHandler
 from repro.serve.breaker import CLOSED, OPEN
 
 
@@ -249,6 +251,23 @@ class TestHTTP:
         assert self.get(app, "/nothing")[0] == 404
         assert self.post(app, "/nothing", b"{}")[0] == 404
         assert self.post(app, "/simulate", b"x" * (1 << 20 + 1))[0] == 413
+
+    def test_accepted_connection_disables_nagle(self, app_factory,
+                                                monkeypatch):
+        # Without TCP_NODELAY a keep-alive response's body waits for the
+        # client's delayed ACK of its headers.
+        nodelay = []
+        setup = _ServeHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(_ServeHandler, "setup", recording_setup)
+        app = app_factory()
+        assert self.get(app, "/healthz")[0] == 200
+        assert nodelay and all(nodelay)
 
     def test_healthz_reports_draining(self, app_factory):
         app = app_factory()

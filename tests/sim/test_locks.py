@@ -104,21 +104,3 @@ class TestRollback:
         locks.try_acquire(waiter, "q")
         locks.cancel_wait(waiter)
         assert locks.waiters_on("q") == ()
-
-
-class TestDependencyView:
-    def test_edges_map_waiter_to_owner(self):
-        locks = LockManager()
-        owner, waiter = _job("A"), _job("B")
-        locks.try_acquire(owner, "q")
-        locks.try_acquire(waiter, "q")
-        assert locks.dependency_edges() == {waiter: owner}
-
-    def test_blocking_job_uses_blocked_on(self):
-        locks = LockManager()
-        owner, waiter = _job("A"), _job("B")
-        locks.try_acquire(owner, "q")
-        waiter.blocked_on = "q"
-        assert locks.blocking_job(waiter) is owner
-        waiter.blocked_on = None
-        assert locks.blocking_job(waiter) is None

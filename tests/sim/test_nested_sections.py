@@ -19,28 +19,7 @@ from repro.tasks import Compute, ObjectAccess, TaskSpec
 from repro.tasks.segments import ReleaseLock
 from repro.tuf import StepTUF
 from repro.units import MS, US
-from tests.helpers import of_kind
-
-
-def _nested_task(name, first, second, critical_us, height=1.0,
-                 hold_us=2_000):
-    """compute, acquire `first` (held), compute, acquire `second`,
-    release `first`, compute."""
-    body = (
-        Compute(100 * US),
-        ObjectAccess(obj=first, duration=hold_us * US,
-                     release_at_end=False),
-        Compute(500 * US),
-        ObjectAccess(obj=second, duration=200 * US),
-        ReleaseLock(obj=first),
-        Compute(100 * US),
-    )
-    return TaskSpec(
-        name=name,
-        arrival=UAMSpec(1, 1, 60 * MS),
-        tuf=StepTUF(critical_time=critical_us * US, height=height),
-        body=body,
-    )
+from tests.helpers import nested_task, of_kind
 
 
 def _run(tasks, traces_us, horizon_us=60_000, detect=True):
@@ -61,7 +40,7 @@ def _run(tasks, traces_us, horizon_us=60_000, detect=True):
 
 class TestHeldAcrossLocks:
     def test_single_task_nested_body_completes(self):
-        task = _nested_task("T", "A", "B", critical_us=50_000)
+        task = nested_task("T", "A", "B", critical_us=50_000)
         kernel, result = _run([task], [[0]])
         assert result.records[0].met_critical_time
         acquires = of_kind(kernel, TraceKind.LOCK_ACQUIRE)
@@ -70,7 +49,7 @@ class TestHeldAcrossLocks:
         assert len(releases) == 2
 
     def test_held_lock_blocks_competitor_until_explicit_release(self):
-        holder = _nested_task("H", "A", "B", critical_us=50_000)
+        holder = nested_task("H", "A", "B", critical_us=50_000)
         competitor = TaskSpec(
             name="C",
             arrival=UAMSpec(1, 1, 60 * MS),
@@ -91,9 +70,9 @@ class TestRuntimeDeadlock:
         # A->B and B->A with staggered arrivals and an urgent second job
         # (earlier critical time => it preempts mid-outer-section):
         # a genuine runtime cycle.
-        rich = _nested_task("rich", "A", "B", critical_us=50_000,
+        rich = nested_task("rich", "A", "B", critical_us=50_000,
                             height=10.0)
-        poor = _nested_task("poor", "B", "A", critical_us=10_000,
+        poor = nested_task("poor", "B", "A", critical_us=10_000,
                             height=1.0)
         return rich, poor
 
@@ -178,7 +157,7 @@ class TestBodyValidation:
 
 class TestNestingUnderOtherSyncModes:
     def test_lockfree_treats_nested_body_as_plain_accesses(self):
-        task = _nested_task("T", "A", "B", critical_us=50_000)
+        task = nested_task("T", "A", "B", critical_us=50_000)
         config = SimulationConfig(
             tasks=[task], arrival_traces=[[0]],
             policy=__import__("repro.core.rua_lockfree",

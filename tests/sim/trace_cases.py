@@ -35,10 +35,10 @@ from repro.sim.kernel import SyncMode
 from repro.sim.objects import RetryPolicy
 from repro.sim.overheads import KernelCosts, ZeroCost
 from repro.tasks import Compute, ObjectAccess, TaskSpec
-from repro.tasks.segments import AccessKind, ReleaseLock
+from repro.tasks.segments import AccessKind
 from repro.tuf import LinearDecreasingTUF, StepTUF
 from repro.units import MS, US
-from tests.helpers import simple_task, zero_cost_policy
+from tests.helpers import nested_task, simple_task, zero_cost_policy
 
 
 def trace_digest(events) -> str:
@@ -75,23 +75,6 @@ def _pair(long_us, short_us, long_obj=None, short_obj=None,
     return [long, short]
 
 
-def _nested_task(name, first, second, critical_us, height=1.0):
-    return TaskSpec(
-        name=name,
-        arrival=UAMSpec(1, 1, 60 * MS),
-        tuf=StepTUF(critical_time=critical_us * US, height=height),
-        body=(
-            Compute(100 * US),
-            ObjectAccess(obj=first, duration=2_000 * US,
-                         release_at_end=False),
-            Compute(500 * US),
-            ObjectAccess(obj=second, duration=200 * US),
-            ReleaseLock(obj=first),
-            Compute(100 * US),
-        ),
-    )
-
-
 def _nested(tasks, traces_us, detect=True, sync=SyncMode.LOCK_BASED):
     policy = (LockBasedRUA(cost_model=ZeroCost(), detect_deadlocks=detect)
               if sync is SyncMode.LOCK_BASED
@@ -101,8 +84,8 @@ def _nested(tasks, traces_us, detect=True, sync=SyncMode.LOCK_BASED):
 
 
 def _deadlock_pair():
-    return [_nested_task("rich", "A", "B", 50_000, height=10.0),
-            _nested_task("poor", "B", "A", 10_000)]
+    return [nested_task("rich", "A", "B", 50_000, height=10.0),
+            nested_task("poor", "B", "A", 10_000)]
 
 
 def _interferers():
@@ -218,9 +201,9 @@ def _cases():
         [[0, 6000], [500, 6500]], sync=SyncMode.LOCK_FREE,
         policy="rua-lockfree", horizon_us=15_000)
     yield "nested_single", lambda: _nested(
-        [_nested_task("T", "A", "B", 50_000)], [[0]])
+        [nested_task("T", "A", "B", 50_000)], [[0]])
     yield "nested_competitor", lambda: _nested(
-        [_nested_task("H", "A", "B", 50_000),
+        [nested_task("H", "A", "B", 50_000),
          TaskSpec(name="C", arrival=UAMSpec(1, 1, 60 * MS),
                   tuf=StepTUF(critical_time=40 * MS),
                   body=(Compute(10 * US),
@@ -232,7 +215,7 @@ def _cases():
                                                  [[0], [200]],
                                                  detect=False)
     yield "nested_under_lockfree", lambda: _nested(
-        [_nested_task("T", "A", "B", 50_000)], [[0]],
+        [nested_task("T", "A", "B", 50_000)], [[0]],
         sync=SyncMode.LOCK_FREE)
     yield "burst_unguarded", lambda: _hand(
         [_burst_task()], [[0]], fault_plan=FaultPlan(
