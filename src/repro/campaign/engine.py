@@ -7,14 +7,14 @@ under one :class:`~repro.campaign.spec.CampaignConfig`:
   journal, no chaos and no retries triggered, this is byte-identical to
   the plain serial loops the experiment modules used before the engine
   existed (same calls, same RNG consumption).
-* ``workers>1`` — trials run in a ``concurrent.futures``
-  ``ProcessPoolExecutor``.  A worker exception, a dead worker process,
-  or a per-trial wall-clock timeout becomes a structured
-  :class:`~repro.campaign.spec.TrialFailure`; retryable kinds re-enter
-  the queue after a seeded exponential backoff.  A broken or stuck pool
-  is killed and rebuilt; trials that were merely collateral (in flight
-  on a pool another trial broke) are re-queued without being charged an
-  attempt.
+* ``workers>1`` — trials run in worker processes of the shared
+  executor (:mod:`repro.campaign.executor`).  A worker exception, a
+  dead worker process, or a per-trial wall-clock timeout becomes a
+  structured :class:`~repro.campaign.spec.TrialFailure`; retryable
+  kinds re-enter the queue after a seeded exponential backoff.  A
+  broken or stuck pool is killed and rebuilt; trials that were merely
+  collateral (in flight on a pool another trial broke) are re-queued
+  without being charged an attempt.
 
 Determinism contract: trial functions must derive all randomness from
 their arguments (in practice: from ``(base_seed, trial_index)``).  The
@@ -30,46 +30,26 @@ unambiguously.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import get_context
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import Any, Callable, Sequence
 
+from repro.campaign.executor import (
+    WorkerPool,
+    backoff,
+    classify,
+    execute_trial,
+    may_retry,
+)
 from repro.campaign.journal import CampaignJournal, JournalError, load_journal
 from repro.obs.observer import NULL_OBSERVER, NullObserver
-from repro.campaign.seeding import backoff_delay, derive_seed
 from repro.campaign.spec import (
-    RETRYABLE_KINDS,
     CampaignConfig,
     CampaignResult,
     CampaignStats,
-    SimulatedWorkerCrash,
-    TransientTrialError,
     TrialFailure,
     TrialOutcome,
     TrialSpec,
 )
-
-
-def _execute_trial(fn: Callable[..., Any], args: tuple,
-                   kwargs: tuple[tuple[str, Any], ...],
-                   chaos, index: int, attempt: int,
-                   trial_context=None) -> Any:
-    """Worker-side trial wrapper (module-level, hence picklable)."""
-    if chaos is not None:
-        chaos.fire(index, attempt, in_worker=True)
-    call_kwargs = dict(kwargs)
-    if trial_context is not None:
-        call_kwargs["_trial"] = trial_context
-    return fn(*args, **call_kwargs)
-
-
-def _classify(exc: BaseException) -> str:
-    if isinstance(exc, TransientTrialError):
-        return "transient"
-    if isinstance(exc, (SimulatedWorkerCrash, BrokenProcessPool)):
-        return "crash"
-    return "exception"
 
 
 class CampaignEngine:
@@ -198,20 +178,11 @@ class CampaignEngine:
             self.obs.counter(f"campaign.attempt_failures.{failure.kind}")
 
     def _backoff(self, gidx: int, attempt: int) -> float:
-        cfg = self.config
-        delay = backoff_delay(
-            attempt,
-            base=cfg.backoff_base, factor=cfg.backoff_factor,
-            cap=cfg.backoff_cap, jitter=cfg.backoff_jitter,
-            seed=derive_seed(cfg.retry_seed, gidx, f"backoff:{attempt}"),
-        )
+        delay = backoff(self.config, gidx, attempt)
         if self.obs.enabled:
             self.obs.counter("campaign.retries")
             self.obs.histogram("campaign.backoff_s", delay)
         return delay
-
-    def _may_retry(self, kind: str, attempts: int) -> bool:
-        return kind in RETRYABLE_KINDS and attempts < self.config.max_attempts
 
     def _trial_context(self, spec: TrialSpec, gidx: int, attempt: int):
         """A :class:`~repro.campaign.resume.TrialContext` for this
@@ -279,25 +250,21 @@ class CampaignEngine:
         attempt = 0
         while True:
             try:
-                if self.config.chaos is not None:
-                    self.config.chaos.fire(gidx, attempt, in_worker=False)
                 started = self._clock()
-                context = self._trial_context(spec, gidx, attempt)
-                if context is not None:
-                    value = spec.fn(*spec.args, **dict(spec.kwargs),
-                                    _trial=context)
-                else:
-                    value = spec.call()
+                value = execute_trial(
+                    spec.fn, spec.args, spec.kwargs, self.config.chaos,
+                    gidx, attempt, self._trial_context(spec, gidx, attempt),
+                    in_worker=False)
                 return TrialOutcome(index=gidx, ok=True, value=value,
                                     attempts=attempt + 1, failures=failures,
                                     wall_s=self._clock() - started,
                                     recovery=self._recovery_info(spec, gidx))
             except Exception as exc:
-                kind = _classify(exc)
+                kind = classify(exc)
                 failures.append(TrialFailure(index=gidx, attempt=attempt,
                                              kind=kind, message=str(exc)))
                 attempt += 1
-                if not self._may_retry(kind, attempt):
+                if not may_retry(self.config, kind, attempt):
                     return TrialOutcome(index=gidx, ok=False,
                                         attempts=attempt, failures=failures,
                                         recovery=self._recovery_info(
@@ -307,28 +274,6 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     # Parallel execution
     # ------------------------------------------------------------------
-
-    def _new_executor(self) -> ProcessPoolExecutor:
-        # Prefer fork where available: trial functions defined in test
-        # modules and dynamically-built specs stay picklable-by-reference
-        # and workers skip re-import.  Falls back to the platform default.
-        try:
-            context = get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = get_context()
-        return ProcessPoolExecutor(max_workers=self.config.workers,
-                                   mp_context=context)
-
-    @staticmethod
-    def _kill_executor(executor: ProcessPoolExecutor) -> None:
-        """Terminate a pool whose workers may be stuck or dead.  Workers
-        are killed first so ``shutdown`` cannot block on a hung trial."""
-        for process in list(getattr(executor, "_processes", {}).values()):
-            try:
-                process.terminate()
-            except (OSError, AttributeError):  # pragma: no cover
-                pass
-        executor.shutdown(wait=True, cancel_futures=True)
 
     def _run_parallel(self, specs: Sequence[TrialSpec],
                       base: int) -> list[TrialOutcome]:
@@ -352,7 +297,7 @@ class CampaignEngine:
                 ready.append((0.0, gidx))
         ready.sort()
 
-        executor: ProcessPoolExecutor | None = None
+        pool = WorkerPool(self.config.workers)
         # Future -> (gidx, deadline, submit time).
         running: dict[Future, tuple[int, float | None, float]] = {}
 
@@ -373,7 +318,7 @@ class CampaignEngine:
             failures[gidx].append(TrialFailure(index=gidx, attempt=attempt,
                                                kind=kind, message=message))
             attempts[gidx] = attempt + 1
-            if self._may_retry(kind, attempts[gidx]):
+            if may_retry(self.config, kind, attempts[gidx]):
                 delay = self._backoff(gidx, attempt)
                 ready.append((self._clock() + delay, gidx))
                 ready.sort()
@@ -396,11 +341,9 @@ class CampaignEngine:
                 while ready and ready[0][0] <= now and \
                         len(running) < self.config.workers:
                     _, gidx = ready.pop(0)
-                    if executor is None:
-                        executor = self._new_executor()
                     spec = by_index[gidx]
-                    future = executor.submit(
-                        _execute_trial, spec.fn, spec.args, spec.kwargs,
+                    executor, future = pool.submit(
+                        execute_trial, spec.fn, spec.args, spec.kwargs,
                         chaos, gidx, attempts[gidx],
                         self._trial_context(spec, gidx, attempts[gidx]))
                     deadline = None if timeout is None else now + timeout
@@ -431,7 +374,7 @@ class CampaignEngine:
                         finalize(gidx, ok=True, value=future.result(),
                                  wall_s=self._clock() - started)
                     else:
-                        kind = _classify(exc)
+                        kind = classify(exc)
                         if kind == "crash":
                             pool_broken = True
                         fail(gidx, kind, f"{type(exc).__name__}: {exc}")
@@ -449,12 +392,9 @@ class CampaignEngine:
                     # The pool has dead or stuck workers; kill it and let
                     # the still-healthy in-flight trials re-run free of
                     # charge on a fresh pool.
-                    if executor is not None:
-                        self._kill_executor(executor)
-                        executor = None
+                    pool.kill(executor)
                     requeue_collateral()
         finally:
-            if executor is not None:
-                executor.shutdown(wait=True, cancel_futures=True)
+            pool.shutdown()
 
         return [done[base + position] for position in range(len(specs))]

@@ -57,9 +57,6 @@ class TrialSpec:
     args: tuple = ()
     kwargs: tuple[tuple[str, Any], ...] = ()
 
-    def call(self) -> Any:
-        return self.fn(*self.args, **dict(self.kwargs))
-
 
 @dataclass(frozen=True)
 class TrialFailure:

@@ -21,8 +21,9 @@ except ImportError:  # pragma: no cover
 def _t_critical(dof: int, confidence: float = 0.95) -> float:
     if _scipy_stats is not None:
         return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
-    # Coarse fallback: normal quantile (fine for dof >= 30, conservative
-    # enough below).
+    # Coarse fallback: the normal quantile.  It is below the t quantile
+    # for every finite dof, so the intervals come out too narrow
+    # (anti-conservative): at 95 %, by 4 % at 30 dof and 29 % at 4.
     return 1.96 if confidence == 0.95 else 2.58
 
 

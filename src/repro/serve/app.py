@@ -39,6 +39,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from repro.campaign.chaos import ChaosPlan
+from repro.campaign.spec import CampaignConfig
 from repro.obs.metrics import (
     OPENMETRICS_CONTENT_TYPE,
     MetricsRegistry,
@@ -93,6 +94,8 @@ class ServeConfig:
             raise ValueError("queue_capacity must be >= 1")
         if self.default_deadline_s <= 0:
             raise ValueError("default_deadline_s must be positive")
+        if self.trial_timeout is not None and self.trial_timeout <= 0:
+            raise ValueError("trial_timeout must be positive when set")
 
     def to_dict(self) -> dict[str, Any]:
         """The startup config echo (JSON-safe; chaos reduced to flags)."""
@@ -136,11 +139,12 @@ class ServeApp:
                                     retry_after_s=cfg.retry_after_s)
         self.breaker = CircuitBreaker(threshold=cfg.breaker_threshold,
                                       reset_after=cfg.breaker_reset_s)
-        self.pool = SimulationPool(workers=cfg.workers,
-                                   trial_timeout=cfg.trial_timeout,
-                                   max_attempts=cfg.max_attempts,
-                                   retry_seed=cfg.retry_seed,
-                                   chaos=cfg.chaos)
+        # A shorter backoff than a campaign's: a client is waiting.
+        self.pool = SimulationPool(CampaignConfig(
+            workers=cfg.workers, timeout=cfg.trial_timeout,
+            max_attempts=max(1, cfg.max_attempts),
+            backoff_base=0.02, backoff_cap=0.5,
+            retry_seed=cfg.retry_seed, chaos=cfg.chaos))
         self.drain = DrainController()
         self._clock = time.monotonic
         self._lock = threading.Lock()
@@ -175,7 +179,7 @@ class ServeApp:
                                   _ServeHandler)
         server.app = self
         self._server = server
-        self.pool.worker_init = functools.partial(
+        self.pool.initializer = functools.partial(
             close_inherited_fd, server.socket.fileno())
         self._recover()
         for index in range(self.config.workers):

@@ -1,20 +1,13 @@
 """Crash-isolated simulation workers for the serve layer.
 
-One :class:`SimulationPool` wraps a ``ProcessPoolExecutor`` exactly the
-way the campaign engine does (DESIGN.md §9) and reuses the same failure
-taxonomy and seeded backoff:
-
-* a worker exception, dead worker process, or per-trial wall-clock
-  timeout becomes a structured failure kind (``transient`` / ``crash``
-  / ``timeout`` / ``exception`` / ``deadline``);
-* retryable kinds (:data:`repro.campaign.spec.RETRYABLE_KINDS`) re-run
-  after a seeded exponential backoff — deterministic in
-  ``(retry_seed, submission index, attempt)``;
-* a timed-out or broken pool is killed and rebuilt; trials in flight on
-  the killed pool surface as retryable ``crash`` collateral;
-* a request deadline caps the wait: a trial that cannot finish inside
-  the caller's remaining budget fails with kind ``deadline`` (never
-  retried — the client has already gone away).
+:class:`SimulationPool` is the campaign engine's worker pool
+(:mod:`repro.campaign.executor`, DESIGN.md §9) plus serve's blocking
+per-request loop, which several dispatcher threads call at once.  Every
+attempt gets a fresh submission index, which addresses the chaos plan
+and seeds the backoff, and every attempt is charged: a crash breaks
+every future in flight, so a request can absorb another's crash.  A
+request deadline caps each wait; a trial that cannot finish inside it
+fails with kind ``deadline``, never retried (the client has gone away).
 
 Trials run :func:`simulate_trial`: rebuild the scenario from its wire
 dict, simulate, and return the canonical result payload — the exact
@@ -27,20 +20,17 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing import get_context
 from typing import Any, Callable
 
-from repro.campaign.chaos import ChaosPlan
-from repro.campaign.seeding import backoff_delay, derive_seed
-from repro.campaign.spec import (
-    RETRYABLE_KINDS,
-    SimulatedWorkerCrash,
-    TransientTrialError,
-    TrialFailure,
+from repro.campaign.executor import (
+    WorkerPool,
+    backoff,
+    classify,
+    execute_trial,
+    may_retry,
 )
+from repro.campaign.spec import CampaignConfig, TrialFailure
 
 __all__ = ["SimulationPool", "PoolFailure", "simulate_trial",
            "result_payload"]
@@ -97,118 +87,46 @@ def result_payload(scenario, summary) -> dict[str, Any]:
     }
 
 
-def simulate_trial(scenario_dict: dict[str, Any],
-                   chaos: ChaosPlan | None = None,
-                   index: int = 0, attempt: int = 0) -> dict[str, Any]:
+def simulate_trial(scenario_dict: dict[str, Any]) -> dict[str, Any]:
     """Worker-side entry point (module-level, hence picklable)."""
     from repro.api import simulate
     from repro.scenario import Scenario
 
-    if chaos is not None:
-        chaos.fire(index, attempt, in_worker=True)
     scenario = Scenario.from_dict(scenario_dict)
     return result_payload(scenario, simulate(scenario))
 
 
-class SimulationPool:
+class SimulationPool(WorkerPool):
     """Shared, rebuild-on-failure process pool for serve dispatchers.
 
-    Thread-safe: several dispatcher threads call :meth:`execute`
-    concurrently; rebuilds are serialized and identity-checked so one
-    sick pool is only killed once.
+    ``config`` supplies ``workers``, ``timeout`` (per attempt),
+    ``max_attempts``, the ``backoff_*`` schedule, ``retry_seed`` and
+    ``chaos``; ``sleep`` and ``clock`` are test seams.  The serve layer
+    sets ``initializer`` to close the inherited HTTP listener, so
+    orphaned workers cannot hold the port against a warm restart.
     """
 
-    def __init__(self, workers: int = 2, *,
-                 trial_timeout: float | None = None,
-                 max_attempts: int = 3,
-                 retry_seed: int = 0,
-                 backoff_base: float = 0.02,
-                 backoff_factor: float = 2.0,
-                 backoff_cap: float = 0.5,
-                 backoff_jitter: float = 0.25,
-                 chaos: ChaosPlan | None = None,
+    def __init__(self, config: CampaignConfig, *,
                  sleep: Callable[[float], None] = time.sleep,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self.trial_timeout = trial_timeout
-        self.max_attempts = max(1, max_attempts)
-        self.retry_seed = retry_seed
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
-        self.backoff_cap = backoff_cap
-        self.backoff_jitter = backoff_jitter
-        self.chaos = chaos if chaos is not None and not chaos.empty else None
+        super().__init__(config.workers)
+        self.config = config
         self._sleep = sleep
         self._clock = clock
-        self._lock = threading.Lock()
-        #: Optional per-worker initializer (picklable zero-arg callable),
-        #: run in every worker process the executor forks — including
-        #: respawns after a rebuild.  The serve layer uses it to close
-        #: the inherited HTTP listener so orphaned workers of a
-        #: SIGKILLed server cannot hold the port against a warm restart.
-        self.worker_init: Callable[[], None] | None = None
-        self._executor: ProcessPoolExecutor | None = None
+        self._stats_lock = threading.Lock()
         self._submissions = 0
         self._busy = 0
         self.executions = 0
         self.retries = 0
-        self.rebuilds = 0
         self.failure_kinds: dict[str, int] = {}
-
-    # ------------------------------------------------------------------
-    # Executor lifecycle
-    # ------------------------------------------------------------------
-
-    def _new_executor(self) -> ProcessPoolExecutor:
-        try:
-            context = get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX platforms
-            context = get_context()
-        return ProcessPoolExecutor(max_workers=self.workers,
-                                   mp_context=context,
-                                   initializer=self.worker_init)
-
-    def _executor_ref(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._executor is None:
-                self._executor = self._new_executor()
-            return self._executor
-
-    def _kill(self, executor: ProcessPoolExecutor) -> None:
-        """Kill ``executor`` if it is still the live one (dead or stuck
-        workers cannot be waited out; terminate first so shutdown cannot
-        block on a hung trial)."""
-        with self._lock:
-            if self._executor is not executor:
-                return              # someone else already rebuilt
-            self._executor = None
-            self.rebuilds += 1
-        for process in list(getattr(executor, "_processes", {}).values()):
-            try:
-                process.terminate()
-            except (OSError, AttributeError):  # pragma: no cover
-                pass
-        executor.shutdown(wait=True, cancel_futures=True)
-
-    def shutdown(self) -> None:
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
 
     @property
     def busy(self) -> int:
-        with self._lock:
+        with self._stats_lock:
             return self._busy
 
     def _note_failure(self, kind: str) -> None:
-        with self._lock:
+        with self._stats_lock:
             self.failure_kinds[kind] = self.failure_kinds.get(kind, 0) + 1
 
     def execute(self, scenario_dict: dict[str, Any],
@@ -220,8 +138,10 @@ class SimulationPool:
         wait is the smaller of the trial timeout and the remaining
         deadline budget.
         """
+        timeout = self.config.timeout
         failures: list[TrialFailure] = []
-        for attempt in range(self.max_attempts):
+        attempt = 0
+        while True:
             remaining = None if deadline is None \
                 else deadline - self._clock()
             if remaining is not None and remaining <= 0:
@@ -231,74 +151,54 @@ class SimulationPool:
                 self._note_failure("deadline")
                 raise PoolFailure("deadline", "request deadline exhausted",
                                   failures)
-            with self._lock:
+            with self._stats_lock:
                 index = self._submissions
                 self._submissions += 1
-            executor = self._executor_ref()
-            budget = self.trial_timeout
+            budget = timeout
             if remaining is not None:
                 budget = remaining if budget is None \
                     else min(budget, remaining)
-            kind = message = None
+            # Chaos is addressed purely by submission index here (every
+            # attempt gets a fresh index), so the attempt passed to the
+            # plan is pinned to its own on_attempt.
+            chaos = self.config.chaos
+            executor, future = self.submit(
+                execute_trial, simulate_trial, (scenario_dict,), (), chaos,
+                index, 0 if chaos is None else chaos.on_attempt)
+            with self._stats_lock:
+                self._busy += 1
             try:
-                # Chaos is addressed purely by submission index here
-                # (every attempt gets a fresh index), so the attempt
-                # passed to the plan is pinned to its own on_attempt.
-                chaos_attempt = self.chaos.on_attempt \
-                    if self.chaos is not None else 0
-                future = executor.submit(simulate_trial, scenario_dict,
-                                         self.chaos, index, chaos_attempt)
-            except RuntimeError as exc:   # submit raced a rebuild
-                kind, message = "crash", f"executor unavailable: {exc}"
-            if kind is None:
-                with self._lock:
-                    self._busy += 1
-                try:
-                    value = future.result(timeout=budget)
-                    with self._lock:
-                        self.executions += 1
-                    return value
-                except FutureTimeoutError:
-                    future.cancel()
-                    self._kill(executor)
-                    # A hung *worker* (trial timeout) is a pool fault
-                    # and retryable; an exhausted *request* budget is
-                    # the client's deadline and is not.
-                    if self.trial_timeout is not None and \
-                            budget >= self.trial_timeout:
-                        kind = "timeout"
-                        message = (f"trial exceeded {self.trial_timeout:.3g}s "
-                                   f"wall-clock budget")
-                    else:
-                        kind = "deadline"
-                        message = "request deadline exhausted mid-trial"
-                except (BrokenProcessPool, CancelledError) as exc:
-                    self._kill(executor)
-                    kind = "crash"
-                    message = f"{type(exc).__name__}: {exc}"
-                except (SimulatedWorkerCrash,) as exc:
-                    kind, message = "crash", str(exc)
-                except TransientTrialError as exc:
-                    kind, message = "transient", str(exc)
-                except Exception as exc:   # the scenario itself raised
-                    kind = "exception"
-                    message = f"{type(exc).__name__}: {exc}"
-                finally:
-                    with self._lock:
-                        self._busy -= 1
+                value = future.result(timeout=budget)
+                with self._stats_lock:
+                    self.executions += 1
+                return value
+            except FutureTimeoutError:
+                future.cancel()
+                self.kill(executor)
+                # A hung *worker* (trial timeout) is a pool fault and
+                # retryable; an exhausted *request* budget is the
+                # client's deadline and is not.
+                if timeout is not None and budget >= timeout:
+                    kind = "timeout"
+                    message = (f"trial exceeded {timeout:.3g}s "
+                               f"wall-clock budget")
+                else:
+                    kind = "deadline"
+                    message = "request deadline exhausted mid-trial"
+            except Exception as exc:
+                kind = classify(exc)
+                message = f"{type(exc).__name__}: {exc}"
+                if kind == "crash":
+                    self.kill(executor)
+            finally:
+                with self._stats_lock:
+                    self._busy -= 1
             failures.append(TrialFailure(index=index, attempt=attempt,
                                          kind=kind, message=message))
             self._note_failure(kind)
-            retryable = kind in RETRYABLE_KINDS \
-                and attempt + 1 < self.max_attempts
-            if not retryable:
+            attempt += 1
+            if not may_retry(self.config, kind, attempt):
                 raise PoolFailure(kind, message, failures)
-            with self._lock:
+            with self._stats_lock:
                 self.retries += 1
-            self._sleep(backoff_delay(
-                attempt, base=self.backoff_base,
-                factor=self.backoff_factor, cap=self.backoff_cap,
-                jitter=self.backoff_jitter,
-                seed=derive_seed(self.retry_seed, index,
-                                 f"backoff:{attempt}")))
-        raise AssertionError("unreachable")  # pragma: no cover
+            self._sleep(backoff(self.config, index, attempt - 1))

@@ -5,9 +5,12 @@ timeouts) — the point is crash isolation and serial/parallel parity,
 not throughput.
 """
 
+import functools
 import os
 
 from repro.campaign import CampaignConfig, CampaignEngine, ChaosPlan
+from repro.campaign.executor import WorkerPool
+from repro.serve.pool import close_inherited_fd
 
 
 def trial_square(seed):
@@ -23,6 +26,14 @@ def trial_marker_flaky(marker_path, value):
             handle.write("failed once")
         raise TransientTrialError("first attempt fails")
     return value
+
+
+def fd_is_open(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
 
 
 def trial_boom(seed):
@@ -94,3 +105,27 @@ class TestParallelParity:
         resumed.close()
         assert result.values == values
         assert resumed.stats().from_journal == len(ARGS)
+
+
+class TestWorkerPool:
+    def test_stale_kill_is_a_no_op_and_respawns_run_the_initializer(self):
+        # serve's initializer: workers close the inherited listener.
+        listener, other_end = os.pipe()
+        pool = WorkerPool(1, initializer=functools.partial(
+            close_inherited_fd, listener))
+        try:
+            stale, future = pool.submit(fd_is_open, listener)
+            assert future.result(timeout=60) is False
+            pool.kill(stale)
+            fresh, future = pool.submit(fd_is_open, listener)
+            # A second thread that saw the same sick pool kills it
+            # through its stale reference: nothing happens.
+            pool.kill(stale)
+            assert fresh is not stale
+            assert pool.rebuilds == 1
+            assert future.result(timeout=60) is False   # respawn ran it
+            assert fd_is_open(listener)                 # parent keeps it
+        finally:
+            pool.shutdown()
+            os.close(listener)
+            os.close(other_end)

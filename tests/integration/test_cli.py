@@ -70,6 +70,13 @@ class TestFaults:
         assert "levels must be >= 0" in err
 
 
+class TestServe:
+    def test_nonpositive_trial_timeout_rejected(self, capsys, tmp_path):
+        assert main(["serve", "--trial-timeout", "0", "--duration", "0",
+                     "--cache-dir", str(tmp_path / "cache")]) == 2
+        assert "trial_timeout must be positive" in capsys.readouterr().err
+
+
 class TestSojourn:
     def test_lockfree_wins_with_small_s(self, capsys):
         assert main(["sojourn", "--r", "30", "--s", "2"]) == 0

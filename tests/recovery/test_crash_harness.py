@@ -48,6 +48,57 @@ def _wait_for(predicate, timeout_s: float, message: str):
     pytest.fail(f"timed out waiting for {message}")
 
 
+def _stat(pid):
+    """``(ppid, state, start time)`` of ``pid`` from ``/proc``, or None
+    once it is gone.  Fields are counted after the last ``)``: the
+    command name may hold spaces."""
+    try:
+        text = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    fields = text[text.rindex(")") + 2:].split()
+    return int(fields[1]), fields[0], fields[19]
+
+
+def _children(pid):
+    """``(pid, start time)`` of every child of ``pid``, or None where
+    there is no ``/proc`` to scan."""
+    proc = pathlib.Path("/proc")
+    if not (proc / "self" / "stat").exists():
+        return None
+    children = []
+    for entry in proc.iterdir():
+        if entry.name.isdigit():
+            stat = _stat(entry.name)
+            if stat is not None and stat[0] == pid:
+                children.append((int(entry.name), stat[2]))
+    return children
+
+
+def _sigkill(proc):
+    """SIGKILL ``proc`` and reap it; returns its children as they were
+    just before the kill (see :func:`_assert_exited`)."""
+    children = _children(proc.pid)
+    os.kill(proc.pid, signal.SIGKILL)
+    proc.wait(timeout=30)
+    return children
+
+
+def _assert_exited(children):
+    """A SIGKILLed campaign or server strands nothing: every worker it
+    had exits (a zombie counts; a reused pid is another process)."""
+    if children is None:
+        return                       # no /proc on this platform
+    assert children, "the killed process had no workers to check"
+
+    def gone(pid, started):
+        stat = _stat(pid)
+        return stat is None or stat[1] == "Z" or stat[2] != started
+
+    _wait_for(lambda: all(gone(*child) for child in children),
+              timeout_s=10, message=f"workers {children} to exit")
+
+
 # ----------------------------------------------------------------------
 # Mid-campaign
 # ----------------------------------------------------------------------
@@ -101,10 +152,13 @@ def test_campaign_sigkill_and_resume(tmp_path, kill_after):
         _wait_for(lambda: _journaled_ok(journal) >= kill_after,
                   timeout_s=240, message=f"{kill_after} journaled trials")
         time.sleep(random.Random(SEED + kill_after).uniform(0.0, 0.25))
-        os.kill(proc.pid, signal.SIGKILL)
+        workers = _sigkill(proc)
     finally:
-        proc.wait(timeout=30)
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
     assert proc.returncode == -signal.SIGKILL
+    _assert_exited(workers)
     survived = _journaled_ok(journal)
     assert survived < N_TRIALS, "kill landed after the campaign finished"
 
@@ -211,12 +265,12 @@ def test_serve_sigkill_warm_restart(tmp_path):
         _wait_for(lambda: len(_wal_digests(wal)) == len(scenarios),
                   timeout_s=60, message="all requests journaled")
         time.sleep(random.Random(SEED).uniform(0.0, 0.2))
-        os.kill(proc.pid, signal.SIGKILL)
-        proc.wait(timeout=30)
+        workers = _sigkill(proc)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=30)
+    _assert_exited(workers)
     admitted = _wal_digests(wal)
     assert admitted == {s.digest() for s in scenarios}
     # The atomic cache put is the commit record: whatever committed
@@ -263,5 +317,5 @@ def test_serve_sigkill_warm_restart(tmp_path):
         assert not any(code.startswith("5")
                        for code in stats["responses"])
     finally:
-        os.kill(proc.pid, signal.SIGKILL)
-        proc.wait(timeout=30)
+        workers = _sigkill(proc)
+    _assert_exited(workers)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.api import quick_scenario, simulate
 from repro.campaign.chaos import ChaosPlan
+from repro.campaign.spec import CampaignConfig
 from repro.scenario import Scenario
 from repro.serve.pool import PoolFailure, SimulationPool, result_payload
 
@@ -22,10 +23,10 @@ NO_SLEEP = staticmethod(lambda _s: None)
 def pool_factory():
     pools = []
 
-    def make(**kwargs):
-        kwargs.setdefault("workers", 1)
-        kwargs.setdefault("sleep", lambda _s: None)   # skip real backoff
-        pool = SimulationPool(**kwargs)
+    def make(**policy):
+        policy.setdefault("workers", 1)
+        pool = SimulationPool(CampaignConfig(**policy),
+                              sleep=lambda _s: None)   # skip real backoff
         pools.append(pool)
         return pool
 
@@ -61,7 +62,7 @@ class TestExecute:
     def test_hung_worker_times_out_and_retries(self, pool_factory):
         pool = pool_factory(
             chaos=ChaosPlan(hang=(0,), hang_seconds=30.0),
-            trial_timeout=0.5, max_attempts=2)
+            timeout=0.5, max_attempts=2)
         started = time.monotonic()
         payload = pool.execute(scenario_dict())
         assert payload["seed"] == 1
@@ -97,7 +98,7 @@ class TestDeadline:
     def test_deadline_cancels_a_running_trial(self, pool_factory):
         pool = pool_factory(
             chaos=ChaosPlan(hang=(0, 1), hang_seconds=30.0),
-            trial_timeout=None, max_attempts=3)
+            timeout=None, max_attempts=3)
         started = time.monotonic()
         with pytest.raises(PoolFailure) as err:
             pool.execute(scenario_dict(), deadline=time.monotonic() + 0.4)
@@ -109,7 +110,7 @@ class TestDeadline:
             self, pool_factory):
         pool = pool_factory(
             chaos=ChaosPlan(hang=(0,), hang_seconds=30.0),
-            trial_timeout=0.4, max_attempts=2)
+            timeout=0.4, max_attempts=2)
         payload = pool.execute(scenario_dict(),
                                deadline=time.monotonic() + 30.0)
         assert payload["seed"] == 1               # retried as a timeout
